@@ -113,7 +113,7 @@ func BenchmarkFigure1ExactCheck(b *testing.B) {
 			}
 			initial = append(initial, cfg)
 		})
-		res, err := explore.Explore[*popmachine.Config](sys, initial, explore.Options{})
+		res, err := explore.ExploreParallel[*popmachine.Config](sys, initial, explore.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -187,9 +187,8 @@ func BenchmarkConvertPipeline(b *testing.B) {
 // BenchmarkShrinkPipeline runs E17's counting path — the machine-level
 // optimization passes plus state counting, no transition table — per
 // construction level. The removal metrics are read back from the `opt`
-// obs group, so the benchmark record (BENCH_simulate.json via
-// scripts/bench.sh) doubles as a regression trap for the pipeline's
-// instrumented state/instruction removal totals.
+// obs group, so the benchmark output doubles as a regression trap for the
+// pipeline's instrumented state/instruction removal totals.
 func BenchmarkShrinkPipeline(b *testing.B) {
 	for n := 1; n <= 4; n++ {
 		c, err := core.New(n)
@@ -271,7 +270,7 @@ func BenchmarkShrinkExplore(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := explore.Explore[*multiset.Multiset](
+				res, err := explore.ExploreParallel[*multiset.Multiset](
 					explore.NewProtocolSystem(p), []*multiset.Multiset{c}, explore.Options{})
 				if err != nil {
 					b.Fatal(err)
@@ -391,7 +390,7 @@ func BenchmarkTheorem2Robustness(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := explore.Explore(explore.NewProtocolSystem(unary),
+		res, err := explore.ExploreParallel(explore.NewProtocolSystem(unary),
 			[]*multiset.Multiset{noisy}, explore.Options{})
 		if err != nil {
 			b.Fatal(err)

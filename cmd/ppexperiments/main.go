@@ -40,17 +40,6 @@ import (
 	"repro/internal/simulate"
 )
 
-// validKernel reports whether k is an accepted -kernel value (empty keeps
-// the batch-size-driven scheduler selection).
-func validKernel(k string) bool {
-	switch k {
-	case "", simulate.KernelExact, simulate.KernelBatch,
-		simulate.KernelFluid, simulate.KernelLangevin, simulate.KernelAuto:
-		return true
-	}
-	return false
-}
-
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -68,7 +57,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	batch := fs.Int64("batch", 0,
 		"batched fast-path chunk size for the convergence experiment (0 = per-step)")
 	kernel := fs.String("kernel", "",
-		"interaction kernel for the convergence experiment: exact | batch | auto")
+		"interaction kernel for the convergence experiment: exact | batch | fluid | langevin | auto")
 	workers := fs.Int("workers", 1,
 		"worker goroutines for the convergence experiment's runs")
 	exploreWorkers := fs.Int("explore-workers", 0,
@@ -100,10 +89,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return usageErr(fmt.Errorf("-mem-budget must be ≥ 0, got %d", *memBudget))
 	case *topologyM < 0:
 		return usageErr(fmt.Errorf("-topology-m must be ≥ 0, got %d", *topologyM))
-	case !validKernel(*kernel):
-		return usageErr(fmt.Errorf("-kernel must be one of %q, %q, %q, %q, %q, got %q",
-			simulate.KernelExact, simulate.KernelBatch, simulate.KernelFluid,
-			simulate.KernelLangevin, simulate.KernelAuto, *kernel))
+	}
+	if err := (simulate.Options{BatchSize: *batch, Kernel: *kernel}).Validate(); err != nil {
+		return usageErr(err)
 	}
 	stopTelemetry, err := telemetry.Start(stderr)
 	if err != nil {

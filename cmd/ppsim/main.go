@@ -11,7 +11,10 @@
 //	ppsim -program path/to/file.pop -input 5
 //
 // Protocol targets (majority, unary:k, binary:j, remainder:m) run under the
-// uniform random-pair scheduler and report interactions and parallel time.
+// uniform random-pair scheduler (-scheduler pair, the default) and report
+// interactions and parallel time; -scheduler fair swaps in the
+// transition-fair scheduler for single runs without -batch, -kernel or
+// -topology.
 // -batch N enables the batched fast-path scheduler (distribution-preserving
 // null-interaction skipping); -kernel selects the interaction kernel
 // instead: exact (per-step law with geometric null skipping), batch (the
@@ -78,11 +81,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	input := fs.String("input", "", "comma-separated input counts (protocols) or a total (programs)")
 	seed := fs.Int64("seed", 1, "PRNG seed")
 	budget := fs.Int64("budget", 0, "step budget (0 = default)")
-	scheduler := fs.String("scheduler", "pair", "protocol scheduler: pair | batch | fair")
+	scheduler := fs.String("scheduler", "pair", "protocol scheduler: pair | fair")
 	batch := fs.Int64("batch", 0,
-		"batched fast-path chunk size for protocol targets (0 = per-step; implies -scheduler batch when set)")
+		"batched fast-path chunk size for protocol targets (0 = per-step; pair scheduler only)")
 	kernel := fs.String("kernel", "",
-		"interaction kernel for protocol targets: exact | batch | fluid | langevin | auto (overrides -scheduler; implies batching)")
+		"interaction kernel for protocol targets: exact | batch | fluid | langevin | auto (pair scheduler only; implies batching)")
 	fluidFloor := fs.Int64("fluid-floor", 0,
 		"agents per consumed species required for the auto kernel's fluid tier (0 = default 16384)")
 	window := fs.Int64("window", 0, "stable-window length for protocol targets (0 = default 10000)")
@@ -119,61 +122,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return usageErr(fmt.Errorf("-window must be ≥ 0, got %d", *window))
 	case *qperiod < 0:
 		return usageErr(fmt.Errorf("-qperiod must be ≥ 0, got %d", *qperiod))
-	case !validKernel(*kernel):
-		return usageErr(fmt.Errorf("-kernel must be one of %q, %q, %q, %q, %q, got %q",
-			simulate.KernelExact, simulate.KernelBatch, simulate.KernelFluid,
-			simulate.KernelLangevin, simulate.KernelAuto, *kernel))
-	case *kernel != "" && *scheduler == "fair":
-		return usageErr(errors.New("-kernel only applies to the pair/batch schedulers, not fair"))
 	case *fluidFloor < 0:
 		return usageErr(fmt.Errorf("-fluid-floor must be ≥ 0, got %d", *fluidFloor))
 	case *input == "":
 		return usageErr(errors.New("-input is required"))
-	}
-	var topoSpec *sched.TopologySpec
-	var faults *sched.Faults
-	if *topology != "" {
-		spec, err := sched.ParseTopologySpec(*topology)
-		if err != nil {
-			return usageErr(err)
-		}
-		switch *topoPolicy {
-		case "", sched.PolicyRandom, sched.PolicyRoundRobin, sched.PolicyStarvation, sched.PolicyAdversary:
-			spec.Policy = *topoPolicy
-		default:
-			return usageErr(fmt.Errorf("-topo-policy must be one of %q, %q, %q, %q, got %q",
-				sched.PolicyRandom, sched.PolicyRoundRobin, sched.PolicyStarvation,
-				sched.PolicyAdversary, *topoPolicy))
-		}
-		switch {
-		case *kernel != "" || *batch > 0:
-			return usageErr(errors.New("-topology excludes -kernel and -batch (graph schedulers are per-step)"))
-		case *scheduler != "pair":
-			return usageErr(errors.New("-topology replaces -scheduler (leave it at the default)"))
-		}
-		topoSpec = &spec
-	} else if *topoPolicy != "" {
-		return usageErr(errors.New("-topo-policy requires -topology"))
-	}
-	if *crash != 0 || *revive != 0 || *join != 0 {
-		if topoSpec == nil {
-			return usageErr(errors.New("-crash/-revive/-join require -topology"))
-		}
-		faults = &sched.Faults{Crash: *crash, Revive: *revive, Join: *join}
-		if err := faults.Validate(); err != nil {
-			return usageErr(err)
-		}
-	}
-	stopTelemetry, err := telemetry.Start(stderr)
-	if err != nil {
-		return usageErr(err)
-	}
-	defer stopTelemetry()
-
-	counts, err := parseCounts(*input)
-	if err != nil {
-		fmt.Fprintln(stderr, "ppsim:", err)
-		return 1
 	}
 	so := simOptions{
 		scheduler:  *scheduler,
@@ -186,8 +138,33 @@ func run(args []string, stdout, stderr io.Writer) int {
 		qperiod:    *qperiod,
 		runs:       *runs,
 		workers:    *workers,
-		topo:       topoSpec,
-		faults:     faults,
+	}
+	if *topology != "" {
+		spec, err := sched.ParseTopologySpec(*topology)
+		if err != nil {
+			return usageErr(err)
+		}
+		spec.Policy = *topoPolicy
+		so.topo = &spec
+	} else if *topoPolicy != "" {
+		return usageErr(errors.New("-topo-policy requires -topology"))
+	}
+	if *crash != 0 || *revive != 0 || *join != 0 {
+		so.faults = &sched.Faults{Crash: *crash, Revive: *revive, Join: *join}
+	}
+	if _, err := so.options(); err != nil {
+		return usageErr(err)
+	}
+	stopTelemetry, err := telemetry.Start(stderr)
+	if err != nil {
+		return usageErr(err)
+	}
+	defer stopTelemetry()
+
+	counts, err := parseCounts(*input)
+	if err != nil {
+		fmt.Fprintln(stderr, "ppsim:", err)
+		return 1
 	}
 	if err := dispatch(stdout, *target, *programPath, counts, so); err != nil {
 		fmt.Fprintln(stderr, "ppsim:", err)
@@ -324,21 +301,10 @@ type simOptions struct {
 	faults          *sched.Faults
 }
 
-// validKernel reports whether k is an accepted -kernel value (empty keeps
-// the -scheduler/-batch selection).
-func validKernel(k string) bool {
-	switch k {
-	case "", simulate.KernelExact, simulate.KernelBatch,
-		simulate.KernelFluid, simulate.KernelLangevin, simulate.KernelAuto:
-		return true
-	}
-	return false
-}
-
-func simulateProtocol(w io.Writer, p *protocol.Protocol, counts []int64, so simOptions) error {
-	if so.batch > 0 && so.scheduler == "pair" {
-		so.scheduler = "batch"
-	}
+// options maps the knobs onto simulate.Options and checks them: the fair
+// scheduler takes none of the pair scheduler's knobs, and the rest must pass
+// simulate.Options.Validate.
+func (so simOptions) options() (simulate.Options, error) {
 	opts := simulate.Options{
 		MaxSteps:         so.budget,
 		StableWindow:     so.window,
@@ -350,17 +316,38 @@ func simulateProtocol(w io.Writer, p *protocol.Protocol, counts []int64, so simO
 		Topology:         so.topo,
 		Faults:           so.faults,
 	}
-	if so.runs > 1 {
-		if so.scheduler == "fair" {
-			return errors.New("-runs > 1 only supports the pair/batch schedulers")
+	switch so.scheduler {
+	case "pair":
+	case "fair":
+		switch {
+		case so.kernel != "":
+			return opts, errors.New("-kernel only applies to the pair scheduler, not fair")
+		case so.batch > 0:
+			return opts, errors.New("-batch only applies to the pair scheduler, not fair")
+		case so.runs > 1:
+			return opts, errors.New("-runs > 1 only applies to the pair scheduler, not fair")
+		case so.topo != nil:
+			return opts, errors.New("-topology replaces -scheduler (leave it at the default)")
 		}
+	default:
+		return opts, fmt.Errorf("-scheduler must be pair or fair, got %q", so.scheduler)
+	}
+	return opts, opts.Validate()
+}
+
+func simulateProtocol(w io.Writer, p *protocol.Protocol, counts []int64, so simOptions) error {
+	opts, err := so.options()
+	if err != nil {
+		return err
+	}
+	var m int64
+	for _, c := range counts {
+		m += c
+	}
+	if so.runs > 1 {
 		samples, err := simulate.MeasureConvergenceSamples(p, counts, so.runs, so.seed, opts)
 		if err != nil {
 			return err
-		}
-		var m int64
-		for _, c := range counts {
-			m += c
 		}
 		fmt.Fprintf(w, "protocol:      %s (%d states, %d transitions)\n",
 			p.Name, p.NumStates(), len(p.Transitions))
@@ -375,37 +362,10 @@ func simulateProtocol(w io.Writer, p *protocol.Protocol, counts []int64, so simO
 	}
 	rng := sched.NewRand(so.seed)
 	var s sched.Scheduler
-	if so.topo != nil {
-		var m int64
-		for _, c := range counts {
-			m += c
-		}
-		ts, err := so.topo.NewScheduler(p, rng, so.faults, m)
-		if err != nil {
-			return err
-		}
-		s = ts
-	} else if so.kernel != "" {
-		var m int64
-		for _, c := range counts {
-			m += c
-		}
-		ks, err := simulate.NewKernelScheduler(p, rng, so.kernel, m)
-		if err != nil {
-			return err
-		}
-		s = ks
-	} else {
-		switch so.scheduler {
-		case "pair":
-			s = sched.NewRandomPair(p, rng)
-		case "batch":
-			s = sched.NewBatchRandomPair(p, rng)
-		case "fair":
-			s = sched.NewTransitionFair(p, rng)
-		default:
-			return fmt.Errorf("unknown scheduler %q", so.scheduler)
-		}
+	if so.scheduler == "fair" {
+		s = sched.NewTransitionFair(p, rng)
+	} else if s, err = simulate.NewScheduler(p, rng, opts, m); err != nil {
+		return err
 	}
 	res, err := simulate.RunInput(p, counts, s, opts)
 	if err != nil {

@@ -170,9 +170,12 @@ func TestRunFlagValidation(t *testing.T) {
 		{"negative budget", []string{"-target", "majority", "-input", "6,3", "-budget", "-5"}, 2, "-budget must be ≥ 0"},
 		{"negative window", []string{"-target", "majority", "-input", "6,3", "-window", "-1"}, 2, "-window must be ≥ 0"},
 		{"negative qperiod", []string{"-target", "majority", "-input", "6,3", "-qperiod", "-1"}, 2, "-qperiod must be ≥ 0"},
-		{"bogus kernel", []string{"-target", "majority", "-input", "6,3", "-kernel", "turbo"}, 2, "-kernel must be one of"},
+		{"bogus kernel", []string{"-target", "majority", "-input", "6,3", "-kernel", "turbo"}, 2, "unknown kernel"},
 		{"negative fluid floor", []string{"-target", "majority", "-input", "6,3", "-fluid-floor", "-1"}, 2, "-fluid-floor must be"},
 		{"kernel with fair scheduler", []string{"-target", "majority", "-input", "6,3", "-kernel", "batch", "-scheduler", "fair"}, 2, "-kernel only applies"},
+		{"batch with fair scheduler", []string{"-target", "majority", "-input", "12,5", "-scheduler", "fair", "-batch", "64"}, 2, "-batch only applies"},
+		{"runs with fair scheduler", []string{"-target", "majority", "-input", "6,3", "-scheduler", "fair", "-runs", "3"}, 2, "-runs > 1 only applies"},
+		{"unknown scheduler", []string{"-target", "majority", "-input", "6,3", "-scheduler", "batch"}, 2, "-scheduler must be pair or fair"},
 		{"missing input", []string{"-target", "majority"}, 2, "-input is required"},
 		{"non-numeric flag", []string{"-runs", "x"}, 2, "invalid value"},
 		{"unknown flag", []string{"-definitely-not-a-flag"}, 2, "flag provided but not defined"},
@@ -181,12 +184,12 @@ func TestRunFlagValidation(t *testing.T) {
 		{"bad input counts", []string{"-target", "majority", "-input", "6;3"}, 1, "input"},
 		{"unknown topology", []string{"-target", "majority", "-input", "6,3", "-topology", "torus"}, 2, "unknown topology"},
 		{"bad grid parameter", []string{"-target", "majority", "-input", "6,3", "-topology", "grid:axb"}, 2, "ROWSxCOLS"},
-		{"bogus topo policy", []string{"-target", "majority", "-input", "6,3", "-topology", "ring", "-topo-policy", "chaos"}, 2, "-topo-policy must be one of"},
+		{"bogus topo policy", []string{"-target", "majority", "-input", "6,3", "-topology", "ring", "-topo-policy", "chaos"}, 2, "unknown edge-selection policy"},
 		{"policy without topology", []string{"-target", "majority", "-input", "6,3", "-topo-policy", "random"}, 2, "-topo-policy requires -topology"},
-		{"topology with kernel", []string{"-target", "majority", "-input", "6,3", "-topology", "ring", "-kernel", "batch"}, 2, "-topology excludes -kernel"},
-		{"topology with batch", []string{"-target", "majority", "-input", "6,3", "-topology", "ring", "-batch", "64"}, 2, "-topology excludes -kernel"},
+		{"topology with kernel", []string{"-target", "majority", "-input", "6,3", "-topology", "ring", "-kernel", "batch"}, 2, "Topology excludes Kernel"},
+		{"topology with batch", []string{"-target", "majority", "-input", "6,3", "-topology", "ring", "-batch", "64"}, 2, "Topology excludes Kernel"},
 		{"topology with fair scheduler", []string{"-target", "majority", "-input", "6,3", "-topology", "ring", "-scheduler", "fair"}, 2, "-topology replaces -scheduler"},
-		{"faults without topology", []string{"-target", "majority", "-input", "6,3", "-crash", "0.1"}, 2, "require -topology"},
+		{"faults without topology", []string{"-target", "majority", "-input", "6,3", "-crash", "0.1"}, 2, "Faults requires Topology"},
 		{"crash rate out of range", []string{"-target", "majority", "-input", "6,3", "-topology", "ring", "-crash", "1.5"}, 2, "outside [0, 1]"},
 		{"grid mismatch", []string{"-target", "majority", "-input", "6,3", "-topology", "grid:5x5"}, 1, "grid"},
 	}

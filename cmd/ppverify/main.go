@@ -108,7 +108,7 @@ func verifyMajority(maxAgents int64, opts explore.Options) error {
 	if err != nil {
 		return err
 	}
-	return explore.CheckDecidesParallel(p, baseline.MajorityPredicate, 1, maxAgents, runtime.NumCPU(), opts)
+	return explore.CheckDecides(p, baseline.MajorityPredicate, 1, maxAgents, runtime.NumCPU(), opts)
 }
 
 func verifyUnary(maxAgents int64, opts explore.Options) error {
@@ -117,7 +117,7 @@ func verifyUnary(maxAgents int64, opts explore.Options) error {
 		if err != nil {
 			return err
 		}
-		if err := explore.CheckDecidesParallel(p, baseline.ThresholdPredicate(k), 1, maxAgents, runtime.NumCPU(), opts); err != nil {
+		if err := explore.CheckDecides(p, baseline.ThresholdPredicate(k), 1, maxAgents, runtime.NumCPU(), opts); err != nil {
 			return fmt.Errorf("k=%d: %w", k, err)
 		}
 	}
@@ -131,7 +131,7 @@ func verifyBinary(maxAgents int64, opts explore.Options) error {
 			return err
 		}
 		k := int64(1) << uint(j)
-		if err := explore.CheckDecidesParallel(p, baseline.ThresholdPredicate(k), 1, maxAgents, runtime.NumCPU(), opts); err != nil {
+		if err := explore.CheckDecides(p, baseline.ThresholdPredicate(k), 1, maxAgents, runtime.NumCPU(), opts); err != nil {
 			return fmt.Errorf("j=%d: %w", j, err)
 		}
 	}
@@ -210,7 +210,7 @@ func verifyRemainder(maxAgents int64, opts explore.Options) error {
 			return err
 		}
 		if err := explore.CheckDecides(p, baseline.RemainderPredicate(spec.m, spec.r),
-			1, maxAgents, opts); err != nil {
+			1, maxAgents, 1, opts); err != nil {
 			return fmt.Errorf("x ≡ %d (mod %d): %w", spec.r, spec.m, err)
 		}
 	}
@@ -232,5 +232,5 @@ func verifyProduct(maxAgents int64, opts explore.Options) error {
 	}
 	pred := protocol.ProductPredicate(
 		baseline.ThresholdPredicate(3), baseline.RemainderPredicate(2, 0), protocol.OpAnd)
-	return explore.CheckDecidesParallel(prod, pred, 1, maxAgents, runtime.NumCPU(), opts)
+	return explore.CheckDecides(prod, pred, 1, maxAgents, runtime.NumCPU(), opts)
 }

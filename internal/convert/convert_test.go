@@ -288,7 +288,7 @@ func TestTheorem5ExactGeOne(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checked, err := explore.Explore[*multiset.Multiset](
+		checked, err := explore.ExploreParallel[*multiset.Multiset](
 			explore.NewProtocolSystem(p), []*multiset.Multiset{c},
 			explore.Options{MaxStates: 4_000_000})
 		if err != nil {

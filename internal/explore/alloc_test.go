@@ -5,16 +5,16 @@ import (
 )
 
 // TestExploreAllocsPerState is the allocation regression guard for the
-// dense-[]bool visited tracking in Explore: ids are dense, so expansion
-// bookkeeping must cost O(1) amortised slice appends, not per-state map
-// inserts. The budget is per explored state, with headroom for the
-// per-state key string and queue/edge growth; reintroducing a map (or any
-// per-state heap structure) on the BFS hot path trips it.
+// engine's dense-id bookkeeping: ids are dense, so expansion bookkeeping
+// must cost O(1) amortised slice appends, not per-state map inserts. The
+// budget is per explored state, with headroom for the per-state key and
+// frontier/edge growth; reintroducing a map (or any per-state heap
+// structure) on the BFS hot path trips it.
 func TestExploreAllocsPerState(t *testing.T) {
 	const n = 512
 	g := ringAfterPath{depth: n}
 	allocs := testing.AllocsPerRun(10, func() {
-		res, err := Explore[int](g, []int{0}, Options{MaxStates: n + 10})
+		res, err := ExploreParallel[int](g, []int{0}, Options{MaxStates: n + 10})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -24,7 +24,7 @@ func TestExploreAllocsPerState(t *testing.T) {
 	})
 	perState := allocs / float64(n)
 	if perState > 8 {
-		t.Fatalf("Explore allocates %.1f objects/state (total %.0f), budget 8", perState, allocs)
+		t.Fatalf("ExploreParallel allocates %.1f objects/state (total %.0f), budget 8", perState, allocs)
 	}
 }
 

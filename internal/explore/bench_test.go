@@ -63,7 +63,7 @@ func BenchmarkExploreProtocol(b *testing.B) {
 	b.Run("sequential", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res, err := Explore[*multiset.Multiset](sys, []*multiset.Multiset{c}, Options{MaxStates: 1_000_000})
+			res, err := exploreSequential[*multiset.Multiset](sys, []*multiset.Multiset{c}, Options{MaxStates: 1_000_000})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -113,7 +113,7 @@ func BenchmarkExploreMachine(b *testing.B) {
 	b.Run("sequential", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res, err := Explore[*popmachine.Config](sys, initial, Options{MaxStates: 1_000_000})
+			res, err := exploreSequential[*popmachine.Config](sys, initial, Options{MaxStates: 1_000_000})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -61,26 +61,27 @@ type expandScratch[S any] struct {
 	err      error
 }
 
-// ExploreParallel is ExploreContext without cancellation. Like Explore it
-// builds the reachable graph from the initial states and analyses its bottom
-// SCCs, but it expands the BFS frontier on opts.Workers goroutines and
-// interns states through the sharded binary-key interner. The Result is
-// bit-identical to Explore's for every worker count and every memory budget.
+// ExploreParallel is ExploreContext without cancellation: it builds the
+// reachable graph from the initial states and analyses its bottom SCCs,
+// expanding the BFS frontier on opts.Workers goroutines and interning states
+// through the sharded binary-key interner. The Result is bit-identical for
+// every worker count and every memory budget.
 func ExploreParallel[S any](sys System[S], initial []S, opts Options) (*Result, error) {
 	return ExploreContext(context.Background(), sys, initial, opts)
 }
 
 // ExploreContext is the parallel exploration engine: a level-synchronised
-// BFS whose frontier is expanded concurrently, followed by the same
-// sequential Tarjan bottom-SCC analysis as Explore.
+// BFS whose frontier is expanded concurrently, followed by a sequential
+// Tarjan bottom-SCC analysis.
 //
 // Determinism: dense state ids are assigned by a single-threaded commit pass
 // that walks each level's discoveries in canonical order — frontier states
 // in ascending id order, successors in the order Successors returned them —
-// which is exactly the discovery order of the sequential FIFO BFS. Edge
+// which is exactly the discovery order of a sequential FIFO BFS. Edge
 // lists, Tarjan component numbering, outcome order, witness keys and the
-// point at which ErrStateLimit fires are therefore all bit-identical to
-// Explore's, for any worker count. Cancelling ctx (or exceeding its
+// point at which ErrStateLimit fires are therefore those of that BFS at any
+// worker count (the differential tests compare against a sequential
+// reference explorer). Cancelling ctx (or exceeding its
 // deadline) aborts at the next block barrier with the context's error.
 //
 // Storage: with Options.MemBudget set, interned keys live in a segmented

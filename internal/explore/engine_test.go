@@ -76,7 +76,7 @@ func TestParallelMatchesSequentialRandomProtocols(t *testing.T) {
 			t.Fatal(err)
 		}
 		opts := Options{MaxStates: 100_000}
-		seq, err := Explore[*multiset.Multiset](sys, []*multiset.Multiset{c}, opts)
+		seq, err := exploreSequential[*multiset.Multiset](sys, []*multiset.Multiset{c}, opts)
 		if err != nil {
 			t.Fatalf("trial %d: sequential: %v", trial, err)
 		}
@@ -112,7 +112,7 @@ func TestParallelMatchesSequentialMachine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seq, err := Explore[*popmachine.Config](sys, []*popmachine.Config{cfg}, opts)
+		seq, err := exploreSequential[*popmachine.Config](sys, []*popmachine.Config{cfg}, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +137,7 @@ func TestParallelMatchesSequentialMachine(t *testing.T) {
 		initial = append(initial, cfg)
 	})
 	initial = append(initial, initial[0].Clone())
-	seq, err := Explore[*popmachine.Config](sys, initial, opts)
+	seq, err := exploreSequential[*popmachine.Config](sys, initial, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestParallelMatchesSequentialMachine(t *testing.T) {
 // every worker count, with the same error.
 func TestParallelStateLimitIdentical(t *testing.T) {
 	g := chainSystem{}
-	_, seqErr := Explore[int](g, []int{0}, Options{MaxStates: 100})
+	_, seqErr := exploreSequential[int](g, []int{0}, Options{MaxStates: 100})
 	if !errors.Is(seqErr, ErrStateLimit) {
 		t.Fatalf("sequential err = %v", seqErr)
 	}
@@ -221,7 +221,7 @@ func (w wideSystem) Output(s [2]int) protocol.Output { return protocol.OutputTru
 func TestParallelWideFrontier(t *testing.T) {
 	g := wideSystem{width: 40, depth: 4}
 	opts := Options{MaxStates: 200_000}
-	seq, err := Explore[[2]int](g, [][2]int{{0, 0}}, opts)
+	seq, err := exploreSequential[[2]int](g, [][2]int{{0, 0}}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

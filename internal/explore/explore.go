@@ -27,9 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"time"
 
-	"repro/internal/obs"
 	"repro/internal/protocol"
 )
 
@@ -57,13 +55,12 @@ type Options struct {
 	// MaxStates bounds the number of distinct states explored.
 	// Zero means the default of 2,000,000.
 	MaxStates int
-	// Workers is the number of frontier-expansion goroutines used by the
-	// parallel engine (ExploreContext / ExploreParallel and everything
-	// routed through it). Zero means one worker per available CPU. Results
-	// are bit-identical for every worker count, so experiments stay
-	// reproducible regardless of the machine they ran on.
+	// Workers is the number of frontier-expansion goroutines. Zero means
+	// one worker per available CPU. Results are bit-identical for every
+	// worker count, so experiments stay reproducible regardless of the
+	// machine they ran on.
 	Workers int
-	// MemBudget caps the resident bytes of the parallel engine's spillable
+	// MemBudget caps the resident bytes of the engine's spillable
 	// storage tier (interned key log + frontier buffers). Zero means
 	// unbounded: everything stays in RAM and no spill files are created.
 	// With a budget set, sealed key-log segments and overflowing frontier
@@ -146,86 +143,10 @@ func (r *Result) Consensus() protocol.Output {
 	return first
 }
 
-// Explore builds the reachable graph from the initial states and analyses
-// its bottom SCCs. It is the sequential reference implementation; the
-// level-synchronised engine (ExploreContext) returns bit-identical Results
-// and is what the checkers and experiments run in production.
-func Explore[S any](sys System[S], initial []S, opts Options) (*Result, error) {
-	limit := opts.maxStates()
-
-	met := obs.Explore()
-	if met != nil {
-		met.Explorations.Inc()
-		t0 := time.Now()
-		defer func() { met.Nanos.Add(time.Since(t0).Nanoseconds()) }()
-	}
-
-	// Phase 1: BFS to discover all reachable states and record the edge
-	// lists over dense integer ids.
-	ids := make(map[string]int)
-	var states []S
-	var edges [][]int
-	var expanded []bool // dense: ids are assigned 0,1,2,...
-
-	intern := func(s S) (int, error) {
-		k := sys.Key(s)
-		if id, ok := ids[k]; ok {
-			return id, nil
-		}
-		if len(states) >= limit {
-			return 0, errStateLimit(limit)
-		}
-		id := len(states)
-		ids[k] = id
-		states = append(states, s)
-		edges = append(edges, nil)
-		expanded = append(expanded, false)
-		if met != nil {
-			met.States.Inc()
-		}
-		return id, nil
-	}
-
-	queue := make([]int, 0, len(initial))
-	for _, s := range initial {
-		id, err := intern(s)
-		if err != nil {
-			return nil, err
-		}
-		if len(edges[id]) == 0 { // not expanded yet (may repeat in initial)
-			queue = append(queue, id)
-		}
-	}
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		if expanded[id] {
-			continue
-		}
-		expanded[id] = true
-		for _, next := range sys.Successors(states[id]) {
-			nid, err := intern(next)
-			if err != nil {
-				return nil, err
-			}
-			edges[id] = append(edges[id], nid)
-			if !expanded[nid] {
-				queue = append(queue, nid)
-			}
-		}
-		if met != nil {
-			met.Edges.Add(int64(len(edges[id])))
-		}
-	}
-
-	return analyse(sys, states, edges), nil
-}
-
 // analyse runs the shared post-BFS phases: Tarjan's SCC pass over the dense
 // edge lists, bottom-component detection, and per-bottom-SCC consensus
-// outcomes. Both the sequential and the parallel explorer feed it the same
-// canonical (BFS-ordered) graph, which is what makes their Results
-// bit-identical.
+// outcomes. The engine feeds it the canonical (BFS-ordered) graph, which is
+// what makes its Results bit-identical at every worker count.
 func analyse[S any](sys System[S], states []S, edges [][]int) *Result {
 	n := len(states)
 	comp, isBottom, numComp := bottomComponents(n, edges)

@@ -34,7 +34,7 @@ func TestExploreSingleBottomSCC(t *testing.T) {
 		succ: map[int][]int{0: {1}, 1: {2}, 2: {3}, 3: {2}},
 		out:  map[int]protocol.Output{2: protocol.OutputTrue, 3: protocol.OutputTrue},
 	}
-	res, err := Explore[int](g, []int{0}, Options{})
+	res, err := ExploreParallel[int](g, []int{0}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestExploreTwoBottomSCCsDisagree(t *testing.T) {
 			2: protocol.OutputFalse,
 		},
 	}
-	res, err := Explore[int](g, []int{0}, Options{})
+	res, err := ExploreParallel[int](g, []int{0}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestExploreMixedBottomSCCNeverStabilises(t *testing.T) {
 			1: protocol.OutputFalse,
 		},
 	}
-	res, err := Explore[int](g, []int{0}, Options{})
+	res, err := ExploreParallel[int](g, []int{0}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestExploreNonBottomOutputsIgnored(t *testing.T) {
 			1: protocol.OutputTrue,
 		},
 	}
-	res, err := Explore[int](g, []int{0}, Options{})
+	res, err := ExploreParallel[int](g, []int{0}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestExploreMultipleInitialStates(t *testing.T) {
 		succ: map[int][]int{0: {2}, 1: {2}, 2: {2}},
 		out:  map[int]protocol.Output{2: protocol.OutputFalse},
 	}
-	res, err := Explore[int](g, []int{0, 1, 0}, Options{})
+	res, err := ExploreParallel[int](g, []int{0, 1, 0}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestExploreMultipleInitialStates(t *testing.T) {
 func TestExploreStateLimit(t *testing.T) {
 	// An infinite chain 0 → 1 → 2 → ... must hit the state limit.
 	g := chainSystem{}
-	_, err := Explore[int](g, []int{0}, Options{MaxStates: 100})
+	_, err := ExploreParallel[int](g, []int{0}, Options{MaxStates: 100})
 	if !errors.Is(err, ErrStateLimit) {
 		t.Fatalf("err = %v, want ErrStateLimit", err)
 	}
@@ -154,7 +154,7 @@ func TestExploreLargeCycleIterativeTarjan(t *testing.T) {
 	// graph deep enough to overflow a naive recursion.
 	const depth = 200000
 	g := ringAfterPath{depth: depth}
-	res, err := Explore[int](g, []int{0}, Options{MaxStates: depth + 10})
+	res, err := ExploreParallel[int](g, []int{0}, Options{MaxStates: depth + 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func buildMajority(t *testing.T) *protocol.Protocol {
 func TestCheckDecidesMajorityExact(t *testing.T) {
 	p := buildMajority(t)
 	pred := func(in []int64) bool { return in[0] >= in[1] }
-	if err := CheckDecides(p, pred, 1, 6, Options{}); err != nil {
+	if err := CheckDecides(p, pred, 1, 6, 1, Options{}); err != nil {
 		t.Fatalf("majority fails exact verification: %v", err)
 	}
 }
@@ -239,7 +239,7 @@ func TestCheckDecidesCatchesBrokenProtocol(t *testing.T) {
 		t.Fatal(err)
 	}
 	pred := func(in []int64) bool { return in[0] >= in[1] }
-	if err := CheckDecides(p, pred, 1, 5, Options{}); err == nil {
+	if err := CheckDecides(p, pred, 1, 5, 1, Options{}); err == nil {
 		t.Fatal("exact checker passed a protocol that does not decide majority")
 	}
 }
@@ -247,14 +247,14 @@ func TestCheckDecidesCatchesBrokenProtocol(t *testing.T) {
 func TestCheckDecidesRejectsZeroPopulation(t *testing.T) {
 	p := buildMajority(t)
 	pred := func(in []int64) bool { return true }
-	if err := CheckDecides(p, pred, 0, 3, Options{}); err == nil {
+	if err := CheckDecides(p, pred, 0, 3, 1, Options{}); err == nil {
 		t.Fatal("CheckDecides accepted minAgents = 0")
 	}
 }
 
 func TestProtocolSystemOutputs(t *testing.T) {
 	p := buildMajority(t)
-	sys := ProtocolSystem{P: p}
+	sys := NewProtocolSystem(p)
 	c, _ := p.InitialConfig(1, 1)
 	if sys.Output(c) != protocol.OutputMixed {
 		t.Fatal("mixed configuration misreported")

@@ -8,10 +8,10 @@ import (
 func TestCheckDecidesParallelMatchesSequential(t *testing.T) {
 	p := buildMajority(t)
 	pred := func(in []int64) bool { return in[0] >= in[1] }
-	if err := CheckDecidesParallel(p, pred, 1, 7, 4, Options{}); err != nil {
+	if err := CheckDecides(p, pred, 1, 7, 4, Options{}); err != nil {
 		t.Fatalf("parallel verification failed: %v", err)
 	}
-	if err := CheckDecidesParallel(p, pred, 1, 7, 1, Options{}); err != nil {
+	if err := CheckDecides(p, pred, 1, 7, 1, Options{}); err != nil {
 		t.Fatalf("single-worker verification failed: %v", err)
 	}
 }
@@ -21,7 +21,7 @@ func TestCheckDecidesParallelReportsFailures(t *testing.T) {
 	// An impossible predicate: every size must fail; the error mentions a
 	// size and the protocol.
 	wrong := func(in []int64) bool { return false }
-	err := CheckDecidesParallel(p, wrong, 1, 5, 3, Options{})
+	err := CheckDecides(p, wrong, 1, 5, 3, Options{})
 	if err == nil {
 		t.Fatal("parallel checker passed an impossible predicate")
 	}
@@ -32,7 +32,7 @@ func TestCheckDecidesParallelReportsFailures(t *testing.T) {
 
 func TestCheckDecidesParallelRejectsZeroPopulation(t *testing.T) {
 	p := buildMajority(t)
-	if err := CheckDecidesParallel(p, func([]int64) bool { return true }, 0, 3, 2, Options{}); err == nil {
+	if err := CheckDecides(p, func([]int64) bool { return true }, 0, 3, 2, Options{}); err == nil {
 		t.Fatal("accepted minAgents = 0")
 	}
 }

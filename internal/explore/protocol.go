@@ -13,8 +13,8 @@ import (
 // ProtocolSystem adapts a population protocol's configuration graph to the
 // System interface: states are configurations (multisets over Q), the step
 // relation is single-transition firing, and outputs are consensus outputs.
-// Use NewProtocolSystem so successor queries go through a pair-indexed
-// stepper (O(support²) rather than O(|δ|) per state).
+// Build it with NewProtocolSystem: successor queries go through the
+// protocol's pair-indexed stepper (O(support²) per state).
 type ProtocolSystem struct {
 	P       *protocol.Protocol
 	stepper *protocol.Stepper
@@ -53,10 +53,7 @@ func (s ProtocolSystem) DecodeKey(prev *multiset.Multiset, key []byte) (*multise
 
 // Successors implements System.
 func (s ProtocolSystem) Successors(c *multiset.Multiset) []*multiset.Multiset {
-	if s.stepper != nil {
-		return s.stepper.Successors(c)
-	}
-	return s.P.Successors(c)
+	return s.stepper.Successors(c)
 }
 
 // Output implements System.
@@ -80,8 +77,7 @@ func CheckConfiguration(p *protocol.Protocol, c *multiset.Multiset, want bool, o
 }
 
 // checkDecidesSize verifies pred for every initial configuration of one
-// population size, using the parallel engine (which degrades to the inline
-// sequential path for the narrow frontiers of small instances).
+// population size.
 func checkDecidesSize(ctx context.Context, sys ProtocolSystem, pred protocol.Predicate, m int64, opts Options) error {
 	p := sys.P
 	var checkErr error
@@ -113,21 +109,10 @@ func checkDecidesSize(ctx context.Context, sys ProtocolSystem, pred protocol.Pre
 // of every population size in [minAgents, maxAgents]. It is the exact
 // counterpart of the paper's "PP decides φ" (§3) restricted to a finite
 // range of sizes.
-func CheckDecides(p *protocol.Protocol, pred protocol.Predicate, minAgents, maxAgents int64, opts Options) error {
-	if minAgents < 1 {
-		return fmt.Errorf("explore: population size must be ≥ 1, got %d", minAgents)
-	}
-	sys := NewProtocolSystem(p)
-	for m := minAgents; m <= maxAgents; m++ {
-		if err := checkDecidesSize(context.Background(), sys, pred, m, opts); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// CheckDecidesParallel is CheckDecides with the per-size checks fanned out
-// over `workers` goroutines. The protocol's stepper is shared read-only;
+//
+// The per-size checks fan out over `workers` goroutines (values < 1 mean
+// one); with one worker sizes are checked in ascending order and the first
+// failing size is reported. The protocol's stepper is shared read-only;
 // each worker explores its own sizes. The first failure wins: it cancels
 // the in-flight explorations of the other workers (they abort at their next
 // level barrier), and all workers are awaited before returning.
@@ -136,7 +121,7 @@ func CheckDecides(p *protocol.Protocol, pred protocol.Predicate, minAgents, maxA
 // opts.Workers says otherwise — the size-level fan-out already saturates the
 // CPUs, and the instances here are small; use ExploreContext directly with
 // Workers > 1 for a single large instance.
-func CheckDecidesParallel(p *protocol.Protocol, pred protocol.Predicate, minAgents, maxAgents int64, workers int, opts Options) error {
+func CheckDecides(p *protocol.Protocol, pred protocol.Predicate, minAgents, maxAgents int64, workers int, opts Options) error {
 	if minAgents < 1 {
 		return fmt.Errorf("explore: population size must be ≥ 1, got %d", minAgents)
 	}

@@ -54,7 +54,7 @@ func TestSpillDifferentialFreeWalk(t *testing.T) {
 	const budget = int64(8 << 10)
 
 	opts := Options{MaxStates: 1_000_000}
-	seq, err := Explore[*multiset.Multiset](sys, []*multiset.Multiset{c}, opts)
+	seq, err := exploreSequential[*multiset.Multiset](sys, []*multiset.Multiset{c}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestSpillStateLimitIdentical(t *testing.T) {
 	sys := NewProtocolSystem(p)
 	c := spillInitial(t, p, m)
 
-	_, seqErr := Explore[*multiset.Multiset](sys, []*multiset.Multiset{c}, Options{MaxStates: limit})
+	_, seqErr := exploreSequential[*multiset.Multiset](sys, []*multiset.Multiset{c}, Options{MaxStates: limit})
 	if !errors.Is(seqErr, ErrStateLimit) {
 		t.Fatalf("sequential err = %v", seqErr)
 	}
@@ -283,8 +283,8 @@ func TestSpillCancellationNoOrphans(t *testing.T) {
 // BenchmarkExploreSpill is the recorded out-of-core benchmark: the free-walk
 // acceptance instance explored all-RAM and under a budget that spills both
 // tiers, reporting states/sec and the spillable tier's resident bytes per
-// state so the budgeted run's memory/throughput trade-off lands in
-// BENCH_simulate.json.
+// state so the budgeted run's memory/throughput trade-off shows in the
+// benchmark output.
 func BenchmarkExploreSpill(b *testing.B) {
 	const k, m = 6, 25
 	const wantStates = 142506

@@ -51,8 +51,8 @@ func TestCompactTransitions(t *testing.T) {
 		if c.Size() == 0 {
 			continue
 		}
-		before := p.Successors(c)
-		after := out.Successors(c)
+		before := scanSuccessors(p, c)
+		after := scanSuccessors(out, c)
 		if len(before) != len(after) {
 			t.Fatalf("config %v: successor counts diverge %d vs %d", counts, len(before), len(after))
 		}

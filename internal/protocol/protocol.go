@@ -170,28 +170,6 @@ func (p *Protocol) Apply(c *multiset.Multiset, t Transition) {
 	c.Add(t.R2, 1)
 }
 
-// Successors returns the distinct configurations reachable from c by firing
-// exactly one (non-silent, enabled) transition. The slice excludes c itself
-// even when a transition happens to be a no-op on this configuration.
-func (p *Protocol) Successors(c *multiset.Multiset) []*multiset.Multiset {
-	seen := make(map[string]bool)
-	var out []*multiset.Multiset
-	for _, i := range p.EnabledTransitions(c) {
-		next := c.Clone()
-		p.Apply(next, p.Transitions[i])
-		if next.Equal(c) {
-			continue
-		}
-		k := next.Key()
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		out = append(out, next)
-	}
-	return out
-}
-
 // Output represents the consensus output of a configuration.
 type Output int
 

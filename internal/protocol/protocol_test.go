@@ -170,7 +170,7 @@ func TestEnabledTransitionsSkipsSilent(t *testing.T) {
 func TestSuccessorsDistinct(t *testing.T) {
 	p := majority(t)
 	c, _ := p.InitialConfig(2, 2)
-	succ := p.Successors(c)
+	succ := scanSuccessors(p, c)
 	// Only (X,Y ↦ x,x) is enabled, so exactly one distinct successor.
 	if len(succ) != 1 {
 		t.Fatalf("got %d successors, want 1", len(succ))
@@ -191,7 +191,7 @@ func TestSuccessorsDedupe(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, _ := p.InitialConfig(1, 1)
-	if succ := p.Successors(c); len(succ) != 1 {
+	if succ := scanSuccessors(p, c); len(succ) != 1 {
 		t.Fatalf("got %d successors, want 1 after dedupe", len(succ))
 	}
 }
@@ -290,7 +290,7 @@ func TestMajorityStabilisesByHand(t *testing.T) {
 	if got := p.OutputOf(c); got != OutputTrue {
 		t.Fatalf("output after one step = %v, want true", got)
 	}
-	if succ := p.Successors(c); len(succ) != 0 {
+	if succ := scanSuccessors(p, c); len(succ) != 0 {
 		var names []string
 		for _, s := range succ {
 			names = append(names, s.Format(p.States))

@@ -84,8 +84,8 @@ func TestReducePreservesBehaviour(t *testing.T) {
 	// Same input arity and same reachable behaviour: one infection step.
 	c1, _ := p.InitialConfig(1, 1)
 	c2, _ := reduced.InitialConfig(1, 1)
-	s1 := p.Successors(c1)
-	s2 := reduced.Successors(c2)
+	s1 := scanSuccessors(p, c1)
+	s2 := scanSuccessors(reduced, c2)
 	if len(s1) != 1 || len(s2) != 1 {
 		t.Fatalf("successor counts differ: %d vs %d", len(s1), len(s2))
 	}

@@ -122,6 +122,7 @@ func TestAPIContract(t *testing.T) {
 		{"topology with policy ok", `{"kind":"simulate","target":"majority","input":[6,4],"topology":"ring","topo_policy":"roundrobin"}`, 202},
 		{"unknown topology", `{"kind":"simulate","target":"majority","input":[6,4],"topology":"dodecahedron"}`, 400},
 		{"topology excludes kernel", `{"kind":"simulate","target":"majority","input":[6,4],"topology":"ring","kernel":"auto"}`, 400},
+		{"topology excludes batch", `{"kind":"simulate","target":"majority","input":[6,4],"topology":"ring","batch":64}`, 400},
 		{"policy without topology", `{"kind":"simulate","target":"majority","input":[6,4],"topo_policy":"random"}`, 400},
 		{"unknown policy", `{"kind":"simulate","target":"majority","input":[6,4],"topology":"ring","topo_policy":"chaos"}`, 400},
 		{"faults without topology", `{"kind":"simulate","target":"majority","input":[6,4],"crash":0.1}`, 400},

@@ -174,36 +174,15 @@ func (s *JobSpec) Validate() error {
 			return fmt.Errorf("%s must be ≥ 0, got %d", f.name, f.v)
 		}
 	}
-	switch s.Kernel {
-	case "", simulate.KernelExact, simulate.KernelBatch, simulate.KernelFluid,
-		simulate.KernelLangevin, simulate.KernelAuto:
-	default:
-		return fmt.Errorf("unknown kernel %q", s.Kernel)
-	}
 	if s.Topology != "" {
 		if _, err := sched.ParseTopologySpec(s.Topology); err != nil {
 			return err
 		}
-		if s.Kernel != "" || s.Batch > 0 {
-			return errors.New("topology excludes kernel and batch (graph schedulers are per-step)")
-		}
+	} else if s.TopoPolicy != "" {
+		return errors.New("topo_policy requires topology")
 	}
-	switch s.TopoPolicy {
-	case "", sched.PolicyRandom, sched.PolicyRoundRobin, sched.PolicyStarvation, sched.PolicyAdversary:
-		if s.TopoPolicy != "" && s.Topology == "" {
-			return errors.New("topo_policy requires topology")
-		}
-	default:
-		return fmt.Errorf("unknown topo_policy %q", s.TopoPolicy)
-	}
-	if s.Crash != 0 || s.Revive != 0 || s.Join != 0 {
-		if s.Topology == "" {
-			return errors.New("crash/revive/join require topology")
-		}
-		f := sched.Faults{Crash: s.Crash, Revive: s.Revive, Join: s.Join}
-		if err := f.Validate(); err != nil {
-			return err
-		}
+	if err := s.options().Validate(); err != nil {
+		return err
 	}
 	if s.Checkpoint != "" {
 		if s.Kind != KindSweep {
@@ -275,13 +254,13 @@ func (s *JobSpec) options() simulate.Options {
 		Workers:          s.Workers,
 	}
 	if s.Topology != "" {
-		// Validate() vetted the spec string and the fault rates.
+		// Validate() vetted the spec string.
 		spec, _ := sched.ParseTopologySpec(s.Topology)
 		spec.Policy = s.TopoPolicy
 		opts.Topology = &spec
-		if s.Crash != 0 || s.Revive != 0 || s.Join != 0 {
-			opts.Faults = &sched.Faults{Crash: s.Crash, Revive: s.Revive, Join: s.Join}
-		}
+	}
+	if s.Crash != 0 || s.Revive != 0 || s.Join != 0 {
+		opts.Faults = &sched.Faults{Crash: s.Crash, Revive: s.Revive, Join: s.Join}
 	}
 	return opts
 }

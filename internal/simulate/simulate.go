@@ -72,8 +72,7 @@ const AutoFluidThreshold = 1 << 16
 const defaultKernelBatch = 1 << 16
 
 // NewKernelScheduler constructs the scheduler selected by a kernel name for
-// a population of populationSize agents. It is the single decision point
-// shared by the measurement functions and the CLIs.
+// a population of populationSize agents.
 func NewKernelScheduler(p *protocol.Protocol, rng *rand.Rand, kernel string, populationSize int64) (sched.BatchScheduler, error) {
 	switch kernel {
 	case KernelExact:
@@ -94,8 +93,30 @@ func NewKernelScheduler(p *protocol.Protocol, rng *rand.Rand, kernel string, pop
 			return sched.NewBatchRandomPair(p, rng), nil
 		}
 	default:
-		return nil, fmt.Errorf("simulate: unknown kernel %q (want %q, %q, %q, %q or %q)",
-			kernel, KernelExact, KernelBatch, KernelFluid, KernelLangevin, KernelAuto)
+		return nil, errUnknownKernel(kernel)
+	}
+}
+
+func errUnknownKernel(kernel string) error {
+	return fmt.Errorf("simulate: unknown kernel %q (want %q, %q, %q, %q or %q)",
+		kernel, KernelExact, KernelBatch, KernelFluid, KernelLangevin, KernelAuto)
+}
+
+// NewScheduler builds the scheduler opts selects for a population of m
+// agents: the topology scheduler when Topology is set, the kernel's
+// scheduler when Kernel is set, BatchRandomPair when only BatchSize is set,
+// and RandomPair otherwise. It is the one scheduler choice behind the
+// measurement functions and the CLIs; opts should have passed Validate.
+func NewScheduler(p *protocol.Protocol, rng *rand.Rand, opts Options, m int64) (sched.Scheduler, error) {
+	switch {
+	case opts.Topology != nil:
+		return opts.Topology.NewScheduler(p, rng, opts.Faults, m)
+	case opts.Kernel != "":
+		return NewKernelScheduler(p, rng, opts.Kernel, m)
+	case opts.BatchSize > 0:
+		return sched.NewBatchRandomPair(p, rng), nil
+	default:
+		return sched.NewRandomPair(p, rng), nil
 	}
 }
 
@@ -135,12 +156,12 @@ type Options struct {
 	// overshoot the exact step at which the per-step runner would have
 	// stopped by less than one batch. Zero disables batching.
 	BatchSize int64
-	// Kernel selects the interaction kernel: KernelExact, KernelBatch or
-	// KernelAuto. It decides which scheduler the measurement functions
-	// construct, and any non-empty value enables the batched driver with a
-	// default BatchSize of 65,536 when BatchSize is zero. Empty keeps the
-	// legacy behaviour: BatchSize alone selects between RandomPair and
-	// BatchRandomPair.
+	// Kernel selects the interaction kernel: KernelExact, KernelBatch,
+	// KernelFluid, KernelLangevin or KernelAuto. It decides which scheduler
+	// the measurement functions construct, and any non-empty value enables
+	// the batched driver with a default BatchSize of 65,536 when BatchSize
+	// is zero. Empty keeps the legacy behaviour: BatchSize alone selects
+	// between RandomPair and BatchRandomPair.
 	Kernel string
 	// FluidFloor overrides the hybrid ladder's regime switch-over bound:
 	// the per-species agent count every consumed species must hold before
@@ -163,6 +184,31 @@ type Options struct {
 	// Faults enables fault injection (crash/revive/join) on topology runs.
 	// Requires Topology.
 	Faults *sched.Faults
+}
+
+// Validate checks the rules that tie the fields together: Kernel is empty
+// or one of the Kernel* names; Topology excludes Kernel and BatchSize and
+// names a known edge-selection policy; Faults requires Topology and has its
+// rates in [0, 1]. It is the one run-specification check behind the CLIs,
+// ppserved and the measurement functions. Numeric fields are not checked:
+// zero or less selects each one's default.
+func (o Options) Validate() error {
+	switch o.Kernel {
+	case "", KernelExact, KernelBatch, KernelFluid, KernelLangevin, KernelAuto:
+	default:
+		return errUnknownKernel(o.Kernel)
+	}
+	if o.Topology != nil {
+		if o.Kernel != "" || o.BatchSize > 0 {
+			return errors.New("simulate: Topology excludes Kernel and BatchSize (the graph schedulers are per-step)")
+		}
+		if err := sched.ValidatePolicy(o.Topology.Policy); err != nil {
+			return err
+		}
+	} else if o.Faults != nil {
+		return errors.New("simulate: Faults requires Topology (only the graph schedulers track individual agents)")
+	}
+	return o.Faults.Validate()
 }
 
 func (o Options) maxSteps() int64 {
@@ -243,10 +289,17 @@ func (r *Result) ParallelTime() float64 {
 // Run executes p from configuration c (mutated in place) under s until a
 // stabilisation criterion is met.
 //
-// When opts.BatchSize is positive and s implements sched.BatchScheduler,
-// the batched fast path drives the scheduler through StepN instead of
-// stepping one interaction at a time; see Options.BatchSize for the exact
-// semantics preserved.
+// The loop advances the configuration in chunks and evaluates the output
+// heuristics at chunk boundaries. When opts.BatchSize (or a Kernel's
+// default) is positive and s implements sched.BatchScheduler, a chunk is up
+// to that many steps of StepN; otherwise it is one Step, which is exact
+// per-step accounting. Chunks are truncated so that every QuiescencePeriod
+// boundary and the step budget are still observed. A chunk with zero
+// effective steps cannot have changed the output, so the stable-window
+// accounting is exact across it; a chunk with effective steps contributes
+// its full length to the window only when the output at both ends agrees
+// (output oscillation within one chunk is not observed — the documented
+// batch-boundary semantics of Options.BatchSize).
 func Run(p *protocol.Protocol, c *multiset.Multiset, s sched.Scheduler, opts Options) (*Result, error) {
 	if c.Size() == 0 {
 		return nil, fmt.Errorf("simulate: protocol %q: empty configuration", p.Name)
@@ -258,13 +311,7 @@ func Run(p *protocol.Protocol, c *multiset.Multiset, s sched.Scheduler, opts Opt
 	if opts.FluidFloor > 0 {
 		ApplyFluidFloor(s, opts.FluidFloor)
 	}
-	var res *Result
-	var err error
-	if bs, ok := s.(sched.BatchScheduler); ok && opts.batchSize() > 0 {
-		res, err = runBatched(p, c, bs, opts)
-	} else {
-		res, err = runPerStep(p, c, s, opts)
-	}
+	res, err := run(p, c, s, opts)
 	if met != nil && err == nil {
 		met.RunsFinished.Inc()
 		met.Convergence.Observe(res.ConvergenceStep)
@@ -288,86 +335,29 @@ func definitelyStable(p *protocol.Protocol, c *multiset.Multiset, s sched.Schedu
 	return len(p.EnabledTransitions(c)) == 0
 }
 
-// runPerStep is Run's per-interaction reference path.
-func runPerStep(p *protocol.Protocol, c *multiset.Multiset, s sched.Scheduler, opts Options) (*Result, error) {
+// run is Run's loop; see Run for the chunking rules.
+func run(p *protocol.Protocol, c *multiset.Multiset, s sched.Scheduler, opts Options) (*Result, error) {
 	maxSteps := opts.maxSteps()
 	window := opts.stableWindow()
 	period := opts.quiescencePeriod()
-
-	res := &Result{Final: c}
-	lastOutput := p.OutputOf(c)
-	var stableFor, lastEffective int64
-	outputChanged := false
-
-	for res.Steps < maxSteps {
-		changed := s.Step(c)
-		res.Steps++
-		if changed {
-			res.EffectiveSteps++
-			lastEffective = res.Steps
-		}
-
-		out := p.OutputOf(c)
-		if out == lastOutput {
-			stableFor++
-		} else {
-			lastOutput = out
-			stableFor = 0
-			res.ConvergenceStep = res.Steps
-			outputChanged = true
-		}
-
-		if out != protocol.OutputMixed && stableFor >= window {
-			res.Output = out
-			return res, nil
-		}
-
-		if res.Steps%period == 0 {
-			if definitelyStable(p, c, s) {
-				res.Output = out
-				res.Quiescent = true
-				if !outputChanged {
-					// The output held its initial value throughout, but
-					// the configuration kept evolving until its last
-					// effective step; reporting 0 would under-report the
-					// convergence point of a run that was still actively
-					// computing.
-					res.ConvergenceStep = lastEffective
-				}
-				return res, nil
-			}
-		}
-	}
-	res.Output = p.OutputOf(c)
-	return res, fmt.Errorf("%w (protocol %q, %d steps, output %v)",
-		ErrBudgetExhausted, p.Name, res.Steps, res.Output)
-}
-
-// runBatched is Run's batched fast path: it advances the configuration in
-// chunks of up to opts.BatchSize steps through StepN, truncating each chunk
-// so that every QuiescencePeriod boundary is still observed, and evaluates
-// the output heuristics at chunk boundaries. A chunk with zero effective
-// steps cannot have changed the output, so the stable-window accounting is
-// exact across it; a chunk with effective steps contributes its full length
-// to the window only when the output at both ends agrees (mid-batch output
-// oscillation within one chunk is not observed — the documented
-// batch-boundary semantics).
-func runBatched(p *protocol.Protocol, c *multiset.Multiset, s sched.BatchScheduler, opts Options) (*Result, error) {
-	maxSteps := opts.maxSteps()
-	window := opts.stableWindow()
-	period := opts.quiescencePeriod()
-	batch := opts.batchSize()
-	// A scheduler can ask for population-scaled chunks (the fluid tiers
-	// want ~m/16 interactions — 1/16 of a parallel-time unit — per chunk;
-	// the default 2¹⁶ would mean ~2·10⁸ chunks at m = 10¹²). An explicit
-	// BatchSize always wins, and the default quiescence period scales with
-	// the chunk so period boundaries don't truncate it back down.
-	if opts.BatchSize <= 0 {
-		if pc, ok := s.(interface{ PreferredChunk(int64) int64 }); ok {
-			if b := pc.PreferredChunk(c.Size()); b > batch {
-				batch = b
-				if opts.QuiescencePeriod <= 0 {
-					period = batch
+	chunk := int64(1)
+	bs, batched := s.(sched.BatchScheduler)
+	batched = batched && opts.batchSize() > 0
+	if batched {
+		chunk = opts.batchSize()
+		// A scheduler can ask for population-scaled chunks (the fluid
+		// tiers want ~m/16 interactions — 1/16 of a parallel-time unit —
+		// per chunk; the default 2¹⁶ would mean ~2·10⁸ chunks at
+		// m = 10¹²). An explicit BatchSize always wins, and the default
+		// quiescence period scales with the chunk so period boundaries
+		// don't truncate it back down.
+		if opts.BatchSize <= 0 {
+			if pc, ok := s.(interface{ PreferredChunk(int64) int64 }); ok {
+				if b := pc.PreferredChunk(c.Size()); b > chunk {
+					chunk = b
+					if opts.QuiescencePeriod <= 0 {
+						period = chunk
+					}
 				}
 			}
 		}
@@ -379,14 +369,20 @@ func runBatched(p *protocol.Protocol, c *multiset.Multiset, s sched.BatchSchedul
 	outputChanged := false
 
 	for res.Steps < maxSteps {
-		n := batch
-		if r := period - res.Steps%period; r < n {
-			n = r
+		n := chunk
+		toPeriod := period - res.Steps%period
+		if toPeriod < n {
+			n = toPeriod
 		}
 		if r := maxSteps - res.Steps; r < n {
 			n = r
 		}
-		eff := s.StepN(c, n)
+		var eff int64
+		if batched {
+			eff = bs.StepN(c, n)
+		} else if s.Step(c) {
+			eff = 1
+		}
 		res.Steps += n
 		res.EffectiveSteps += eff
 		if eff > 0 {
@@ -408,15 +404,18 @@ func runBatched(p *protocol.Protocol, c *multiset.Multiset, s sched.BatchSchedul
 			return res, nil
 		}
 
-		if res.Steps%period == 0 {
-			if definitelyStable(p, c, s) {
-				res.Output = out
-				res.Quiescent = true
-				if !outputChanged {
-					res.ConvergenceStep = lastEffective
-				}
-				return res, nil
+		// The chunk ended on a period boundary exactly when it ran to it.
+		if n == toPeriod && definitelyStable(p, c, s) {
+			res.Output = out
+			res.Quiescent = true
+			if !outputChanged {
+				// The output held its initial value throughout, but the
+				// configuration kept evolving until its last effective
+				// step; reporting 0 would under-report the convergence
+				// point of a run that was still actively computing.
+				res.ConvergenceStep = lastEffective
 			}
+			return res, nil
 		}
 	}
 	res.Output = p.OutputOf(c)
@@ -446,45 +445,21 @@ type ConvergenceStats struct {
 }
 
 // convergenceRun performs the i-th repeated run of a measurement: a fresh
-// scheduler seeded with seed+i — selected by opts.Kernel when set, else the
-// batched one when opts.BatchSize asks for it — over a fresh initial
-// configuration. Runs are independent, which is what lets the measurement
-// functions fan them out over workers without changing any statistic.
+// scheduler seeded with seed+i — chosen by NewScheduler — over a fresh
+// initial configuration. Runs are independent, which is what lets the
+// measurement functions fan them out over workers without changing any
+// statistic.
 func convergenceRun(p *protocol.Protocol, inputCounts []int64, i int, seed int64, opts Options) (*Result, error) {
-	rng := sched.NewRand(seed + int64(i))
-	var s sched.Scheduler
-	if opts.Topology != nil {
-		if opts.Kernel != "" || opts.BatchSize > 0 {
-			return nil, fmt.Errorf("simulate: Topology excludes Kernel and BatchSize (the graph schedulers are per-step)")
-		}
-		var m int64
-		for _, v := range inputCounts {
-			m += v
-		}
-		ts, err := opts.Topology.NewScheduler(p, rng, opts.Faults, m)
-		if err != nil {
-			return nil, err
-		}
-		s = ts
-	} else if opts.Faults != nil {
-		return nil, fmt.Errorf("simulate: Faults requires Topology (only the graph schedulers track individual agents)")
-	} else if opts.Kernel != "" {
-		var m int64
-		for _, v := range inputCounts {
-			m += v
-		}
-		ks, err := NewKernelScheduler(p, rng, opts.Kernel, m)
-		if err != nil {
-			return nil, err
-		}
-		if opts.FluidFloor > 0 {
-			ApplyFluidFloor(ks, opts.FluidFloor)
-		}
-		s = ks
-	} else if opts.BatchSize > 0 {
-		s = sched.NewBatchRandomPair(p, rng)
-	} else {
-		s = sched.NewRandomPair(p, rng)
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
+	var m int64
+	for _, v := range inputCounts {
+		m += v
+	}
+	s, err := NewScheduler(p, sched.NewRand(seed+int64(i)), opts, m)
+	if err != nil {
+		return nil, err
 	}
 	return RunInput(p, inputCounts, s, opts)
 }
