@@ -37,7 +37,7 @@ type KeyDecoderSystem[S any] interface {
 // pending records one successor produced by a parallel expansion pass,
 // before the commit pass has resolved it to a dense id.
 type pending[S any] struct {
-	state S
+	state S      // kept only in stateful (non-codec) mode
 	key   []byte // encoded key in the worker's arena; meaningful when id < 0
 	hash  uint64
 	id    int32 // dense id, or -1 if the state was unknown at expansion time
@@ -251,12 +251,19 @@ func ExploreContext[S any](ctx context.Context, sys System[S], initial []S, opts
 			// canonical (frontier id, successor index) order — the
 			// sequential BFS order. Blocks commit in frontier order, so the
 			// global resolution order is identical to a whole-level commit.
+			// The block's edge lists are carved from one slab.
+			total := 0
+			for bi := range blk {
+				total += len(perState[bi])
+			}
+			slab := make([]int, total)
 			for bi := range blk {
 				recs := perState[bi]
 				if len(recs) == 0 {
 					continue
 				}
-				out := make([]int, len(recs))
+				out := slab[:len(recs):len(recs)]
+				slab = slab[len(recs):]
 				for j := range recs {
 					r := &recs[j]
 					if r.id >= 0 {
@@ -323,16 +330,20 @@ func expandBlock[S any](ctx context.Context, sys System[S], encode func([]byte, 
 		for j, t := range succs {
 			sc.keyBuf = encode(sc.keyBuf[:0], t)
 			h := hashKey(sc.keyBuf)
-			id, ok, deferred := in.lookupExpand(h, sc.keyBuf, &sc.readBuf, &sc.deferred, int32(i), int32(j))
+			id, ok, _ := in.lookupExpand(h, sc.keyBuf, &sc.readBuf, &sc.deferred, int32(i), int32(j))
 			if ok {
 				recs = append(recs, pending[S]{id: int32(id)})
 				continue
 			}
 			// Unknown (or deferred): keep the key bytes; the commit pass —
 			// or the deferred resolution below — needs them.
-			key := sc.arena.copyBytes(sc.keyBuf)
-			recs = append(recs, pending[S]{state: t, key: key, hash: h, id: -1})
-			_ = deferred
+			rec := pending[S]{key: sc.arena.copyBytes(sc.keyBuf), hash: h, id: -1}
+			if !codec {
+				// Codec mode re-decodes states from their keys; keeping t
+				// would pin the successor batch it came from until commit.
+				rec.state = t
+			}
+			recs = append(recs, rec)
 		}
 		perState[i] = recs
 	}

@@ -115,6 +115,24 @@ func (m *Multiset) Clone() *Multiset {
 	return out
 }
 
+// CloneN returns n deep copies of m carved from one backing count array, so
+// a batch of successor configurations costs three allocations rather than
+// two per copy. The copies are independent: each owns a disjoint,
+// capacity-limited segment of the backing array.
+func (m *Multiset) CloneN(n int) []*Multiset {
+	k := len(m.counts)
+	backing := make([]int64, n*k)
+	sets := make([]Multiset, n)
+	out := make([]*Multiset, n)
+	for i := range sets {
+		counts := backing[i*k : (i+1)*k : (i+1)*k]
+		copy(counts, m.counts)
+		sets[i] = Multiset{counts: counts, size: m.size}
+		out[i] = &sets[i]
+	}
+	return out
+}
+
 // Counts returns a copy of the underlying count vector.
 func (m *Multiset) Counts() []int64 {
 	out := make([]int64, len(m.counts))

@@ -33,6 +33,29 @@ func TestFromCountsCopies(t *testing.T) {
 	}
 }
 
+// TestCloneNIndependent checks that the slab copies equal the original and
+// share no counts with it or with each other.
+func TestCloneNIndependent(t *testing.T) {
+	m := FromCounts([]int64{3, 0, 2})
+	copies := m.CloneN(3)
+	if len(copies) != 3 {
+		t.Fatalf("CloneN(3) returned %d copies", len(copies))
+	}
+	for i, c := range copies {
+		if !c.Equal(m) {
+			t.Fatalf("copy %d = %v, want %v", i, c, m)
+		}
+	}
+	copies[1].Add(0, -3)
+	copies[1].Add(2, 5)
+	if !m.Equal(FromCounts([]int64{3, 0, 2})) || !copies[0].Equal(m) || !copies[2].Equal(m) {
+		t.Fatalf("Add on one copy leaked: original %v, copies %v %v", m, copies[0], copies[2])
+	}
+	if copies[1].Size() != 7 || copies[1].Count(2) != 7 {
+		t.Fatalf("copy 1 = %v (size %d), want {2:7} of size 7", copies[1], copies[1].Size())
+	}
+}
+
 func TestFromCountsPanicsOnNegative(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -199,7 +199,10 @@ func (o Output) String() string {
 // occur in a run.
 func (p *Protocol) OutputOf(c *multiset.Multiset) Output {
 	anyAccepting, anyRejecting := false, false
-	for _, i := range c.Support() {
+	for i := 0; i < c.Len(); i++ {
+		if c.Count(i) == 0 {
+			continue
+		}
 		if p.Accepting[i] {
 			anyAccepting = true
 		} else {
