@@ -35,10 +35,20 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
+	"time"
 
 	"repro/internal/obs/obsflag"
 	"repro/internal/serve"
 )
+
+// Fixed connection limits. A client must finish its request headers within
+// readHeaderTimeout, so a slow-loris client cannot pin a connection; on
+// SIGTERM the server waits at most shutdownTimeout for in-flight requests
+// (an open /stream, say) before it closes the connections still open.
+// shutdownTimeout is a variable only so that tests can shorten it.
+const readHeaderTimeout = 10 * time.Second
+
+var shutdownTimeout = 5 * time.Second
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr, nil))
@@ -105,7 +115,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		ready <- ln.Addr().String()
 	}
 
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.Serve(ln) }()
 
@@ -114,7 +124,11 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	select {
 	case <-sigCtx.Done():
 		fmt.Fprintln(stdout, "ppserved: shutting down")
-		httpSrv.Shutdown(context.Background())
+		ctx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
+		defer cancel()
+		if err := httpSrv.Shutdown(ctx); err != nil {
+			httpSrv.Close()
+		}
 		<-errCh
 		return 0
 	case err := <-errCh:

@@ -23,25 +23,30 @@ package convert
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/multiset"
 	"repro/internal/popmachine"
 	"repro/internal/protocol"
 )
 
-// Stage names used in pointer states.
+// stage is a pointer state's execution stage (App. B.3).
+type stage uint8
+
 const (
-	stNone  = "none"
-	stWait  = "wait"
-	stHalf  = "half"
-	stDone  = "done"
-	stEmit  = "emit"
-	stTake  = "take"
-	stTest  = "test"
-	stTrue  = "true"
-	stFalse = "false"
+	stNone stage = iota
+	stWait
+	stHalf
+	stDone
+	stEmit
+	stTake
+	stTest
+	stTrue
+	stFalse
+	numStages
 )
+
+// stageNames are the stages as they appear in state names.
+var stageNames = [numStages]string{"none", "wait", "half", "done", "emit", "take", "test", "true", "false"}
 
 // Result packages the converted protocol with its accounting data.
 type Result struct {
@@ -60,11 +65,9 @@ type Result struct {
 	// no run can occupy).
 	CoreStates int
 
-	m          *popmachine.Machine
-	ptrOrder   []int // pointer indices, IP last
-	stages     [][]string
-	initValues []int
-	families   []int // per Protocol state: owning pointer index, -1 = register
+	m        *popmachine.Machine
+	ptrOrder []int // pointer indices, IP last
+	families []int // per Protocol state: owning pointer index, -1 = register
 }
 
 // PointerOrder returns the pointer indices in elect-chain order (X_1 …
@@ -84,9 +87,13 @@ func (r *Result) Families() []int {
 // AgentsPerFamily counts the agents of cfg in each pointer family; index
 // len(pointers) holds the register-agent count.
 func (r *Result) AgentsPerFamily(cfg *multiset.Multiset) []int64 {
-	out := make([]int64, len(r.m.Pointers)+1)
-	for _, i := range cfg.Support() {
-		f := r.families[i]
+	return r.countFamilies(make([]int64, len(r.m.Pointers)+1), cfg)
+}
+
+// countFamilies adds cfg's agents per family to out, whose slot
+// len(pointers) takes the register agents, counting straight from cfg.
+func (r *Result) countFamilies(out []int64, cfg *multiset.Multiset) []int64 {
+	for i, f := range r.families {
 		if f < 0 {
 			f = len(r.m.Pointers)
 		}
@@ -96,11 +103,17 @@ func (r *Result) AgentsPerFamily(cfg *multiset.Multiset) []int64 {
 }
 
 // Elected reports whether cfg has exactly one agent in every pointer family
-// (the shape π(C) of Lemma 15).
+// (the shape π(C) of Lemma 15). The election experiments call it on every
+// step; it counts into a stack buffer, so it does not allocate for machines
+// of up to 63 pointers.
 func (r *Result) Elected(cfg *multiset.Multiset) bool {
-	counts := r.AgentsPerFamily(cfg)
-	for f := 0; f < len(r.m.Pointers); f++ {
-		if counts[f] != 1 {
+	var buf [64]int64
+	counts := buf[:]
+	if len(r.m.Pointers) >= len(buf) {
+		counts = make([]int64, len(r.m.Pointers)+1)
+	}
+	for _, c := range r.countFamilies(counts, cfg)[:len(r.m.Pointers)] {
+		if c != 1 {
 			return false
 		}
 	}
@@ -144,32 +157,30 @@ func Convert(m *popmachine.Machine) (*Result, error) {
 		CoreStates:  core.NumStates(),
 		m:           m,
 		ptrOrder:    c.order,
-		stages:      c.stages,
-		initValues:  c.inits,
+		families:    make([]int, 2*len(c.family)),
 	}
-	res.families = make([]int, wrapped.NumStates())
-	for i, name := range wrapped.States {
-		coreName := strings.TrimSuffix(strings.TrimSuffix(name, "|+"), "|-")
-		if f, ok := c.family[coreName]; ok {
-			res.families[i] = f
-		} else {
-			res.families[i] = -1
-		}
+	for i, f := range c.family {
+		res.families[2*i], res.families[2*i+1] = f, f
 	}
 	return res, nil
 }
 
+// converter addresses the core states by index. planStates fixes the
+// canonical order, which is the layout: registers 0..|Q|−1 (register r is
+// state r), then one block of |ℱ_X| states per (pointer X in elect order,
+// stage of X), then the map states in instruction order.
 type converter struct {
 	m      *popmachine.Machine
-	order  []int      // pointer indices in elect order (IP last)
-	stages [][]string // stages per pointer (indexed by pointer index)
-	inits  []int      // initial values per pointer (indexed by pointer index)
+	order  []int     // pointer indices in elect order (IP last)
+	stages [][]stage // stages per pointer (indexed by pointer index)
 
-	states   []string        // all core states, in canonical order
-	isOF     map[string]bool // OF-pointer states
-	ofValue  map[string]int  // their values
-	family   map[string]int  // core state name → owning pointer
-	regState []string        // register agent state names
+	states  []string         // core state names, by index
+	base    [][numStages]int // per pointer and stage: index of its Domain[0] state; -1 = no such stage
+	pos     []map[int]int    // per pointer: a value's position in Domain
+	mapAt   []int            // per instruction (1-based): its map state, if it has one
+	family  []int            // per core state: owning pointer, -1 = register
+	ofValue []int            // per core state: the OF pointer's value, -1 = not an OF state
+	err     error            // the first state an emitter asked for outside the layout
 }
 
 // PointerState names the protocol state of pointer ptr at the given stage
@@ -187,7 +198,7 @@ func MapState(m *popmachine.Machine, ptr, instr int) string {
 // InitialPointerState returns the elect-chain state of a freshly
 // initialised pointer: value = its machine initial value, stage none.
 func InitialPointerState(m *popmachine.Machine, ptr int) string {
-	return PointerState(m, ptr, stNone, m.Pointers[ptr].Initial)
+	return PointerState(m, ptr, stageNames[stNone], m.Pointers[ptr].Initial)
 }
 
 // InputState returns the protocol's unique input state: the first pointer
@@ -214,82 +225,74 @@ func (c *converter) planStates() {
 	for _, pi := range m.VReg {
 		isVReg[pi] = true
 	}
-	c.stages = make([][]string, len(m.Pointers))
-	c.inits = make([]int, len(m.Pointers))
+	c.stages = make([][]stage, len(m.Pointers))
 	for i := range m.Pointers {
 		switch {
 		case i == m.IP:
-			c.stages[i] = []string{stNone, stWait, stHalf}
+			c.stages[i] = []stage{stNone, stWait, stHalf}
 		case isVReg[i]:
-			c.stages[i] = []string{stNone, stDone, stEmit, stTake, stTest, stTrue, stFalse}
+			c.stages[i] = []stage{stNone, stDone, stEmit, stTake, stTest, stTrue, stFalse}
 		default:
-			c.stages[i] = []string{stNone, stDone}
+			c.stages[i] = []stage{stNone, stDone}
 		}
-		c.inits[i] = m.Pointers[i].Initial
 	}
 
-	// Canonical state list: registers, pointer states, map states.
-	c.isOF = make(map[string]bool)
-	c.ofValue = make(map[string]int)
-	c.family = make(map[string]int)
-	c.regState = append([]string(nil), m.Registers...)
-	c.states = append(c.states, c.regState...)
+	add := func(name string, family, ofValue int) {
+		c.states = append(c.states, name)
+		c.family = append(c.family, family)
+		c.ofValue = append(c.ofValue, ofValue)
+	}
+	for _, r := range m.Registers {
+		add(r, -1, -1)
+	}
+	c.base = make([][numStages]int, len(m.Pointers))
+	c.pos = make([]map[int]int, len(m.Pointers))
 	for _, pi := range c.order {
-		for _, stage := range c.stages[pi] {
-			for _, v := range m.Pointers[pi].Domain {
-				s := PointerState(m, pi, stage, v)
-				c.states = append(c.states, s)
-				c.family[s] = pi
+		dom := m.Pointers[pi].Domain
+		c.pos[pi] = make(map[int]int, len(dom))
+		for k, v := range dom {
+			c.pos[pi][v] = k
+		}
+		for st := range c.base[pi] {
+			c.base[pi][st] = -1
+		}
+		for _, st := range c.stages[pi] {
+			c.base[pi][st] = len(c.states)
+			for _, v := range dom {
+				of := -1
 				if pi == m.OF {
-					c.isOF[s] = true
-					c.ofValue[s] = v
+					of = v
 				}
+				add(PointerState(m, pi, stageNames[st], v), pi, of)
 			}
 		}
 	}
+	c.mapAt = make([]int, len(m.Instrs)+1)
 	for idx, in := range m.Instrs {
-		if a, ok := in.(popmachine.AssignInstr); ok {
-			if a.X != m.IP && a.X != a.Y {
-				s := MapState(m, a.X, idx+1)
-				c.states = append(c.states, s)
-				c.family[s] = a.X
-			}
+		if a, ok := in.(popmachine.AssignInstr); ok && a.X != m.IP && a.X != a.Y {
+			c.mapAt[idx+1] = len(c.states)
+			add(MapState(m, a.X, idx+1), a.X, -1)
 		}
 	}
 }
 
-// ofStates lists the OF pointer's stage×value states in canonical order
-// (the order planStates created them). The converter's two OF sweeps must
-// use this instead of ranging over the ofValue map: map iteration order
-// would make the emitted transition order — and thus the protocol
-// fingerprint the ppserved cache keys its soundness argument on —
-// nondeterministic.
-func (c *converter) ofStates() []string {
-	var out []string
-	of := c.m.OF
-	for _, stage := range c.stages[of] {
-		for _, v := range c.m.Pointers[of].Domain {
-			out = append(out, PointerState(c.m, of, stage, v))
-		}
+// ptr returns the index of pointer pi's state at stage st holding value v.
+// A state outside the planned layout yields index 0 and records an error,
+// which buildCore returns.
+func (c *converter) ptr(pi int, st stage, v int) int {
+	k, ok := c.pos[pi][v]
+	if b := c.base[pi][st]; ok && b >= 0 {
+		return b + k
 	}
-	return out
+	if c.err == nil {
+		c.err = fmt.Errorf("convert: state %s is outside the planned layout", PointerState(c.m, pi, stageNames[st], v))
+	}
+	return 0
 }
 
-// pointerStates lists every state of the given pointer's agent.
-func (c *converter) pointerStates(pi int) []string {
-	var out []string
-	for _, stage := range c.stages[pi] {
-		for _, v := range c.m.Pointers[pi].Domain {
-			out = append(out, PointerState(c.m, pi, stage, v))
-		}
-	}
-	// Map states also belong to the pointer's agent.
-	for idx, in := range c.m.Instrs {
-		if a, ok := in.(popmachine.AssignInstr); ok && a.X == pi && a.X != c.m.IP && a.X != a.Y {
-			out = append(out, MapState(c.m, pi, idx+1))
-		}
-	}
-	return out
+// initial returns the index of pointer pi's freshly initialised state.
+func (c *converter) initial(pi int) int {
+	return c.ptr(pi, stNone, c.m.Pointers[pi].Initial)
 }
 
 func (c *converter) buildCore() (*protocol.Protocol, error) {
@@ -298,7 +301,7 @@ func (c *converter) buildCore() (*protocol.Protocol, error) {
 	for _, s := range c.states {
 		b.State(s)
 	}
-	b.Input(InitialPointerState(m, c.order[0]))
+	b.Input(c.states[c.initial(c.order[0])])
 
 	c.emitElect(b)
 	for idx, in := range m.Instrs {
@@ -312,12 +315,15 @@ func (c *converter) buildCore() (*protocol.Protocol, error) {
 			c.emitAssign(b, i, it)
 		}
 	}
+	if c.err != nil {
+		return nil, c.err
+	}
 
 	// The core protocol has no meaningful accepting set; consensus comes
 	// from the broadcast wrapper. Mark OF-true states accepting so the
 	// core can still be inspected.
-	for _, s := range c.ofStates() {
-		b.AcceptingIf(s, c.ofValue[s] == popmachine.ValTrue)
+	for q, v := range c.ofValue {
+		b.AcceptingIf(c.states[q], v == popmachine.ValTrue)
 	}
 	return b.Build()
 }
@@ -326,62 +332,53 @@ func (c *converter) buildCore() (*protocol.Protocol, error) {
 // initialised X_j plus an initialised X_{j+1}; duplicate IPs release one
 // agent into a fixed register state and restart the chain at X_1.
 func (c *converter) emitElect(b *protocol.Builder) {
-	m := c.m
-	for oi := 0; oi < len(c.order); oi++ {
-		pi := c.order[oi]
-		all := c.pointerStates(pi)
-		var q1, r1 string
-		if oi < len(c.order)-1 {
-			q1 = InitialPointerState(m, pi)
-			r1 = InitialPointerState(m, c.order[oi+1])
-		} else {
-			// IP duplicates: one agent re-seeds the chain, the other
-			// becomes a register agent in the fixed register 0.
-			q1 = InitialPointerState(m, c.order[0])
-			r1 = c.regState[0]
+	for oi, pi := range c.order {
+		var all []int // the pointer's states: stage×value, then map states
+		for q, f := range c.family {
+			if f == pi {
+				all = append(all, q)
+			}
 		}
+		// IP duplicates: one agent re-seeds the chain, the other becomes a
+		// register agent in the fixed register 0.
+		q1, r1 := c.initial(c.order[0]), 0
+		if oi < len(c.order)-1 {
+			q1, r1 = c.initial(pi), c.initial(c.order[oi+1])
+		}
+		b.Grow(len(all) * len(all))
 		for _, s1 := range all {
 			for _, s2 := range all {
-				b.Transition(s1, s2, q1, r1)
+				b.TransitionIdx(s1, s2, q1, r1)
 			}
 		}
 	}
-}
-
-// ipState abbreviates IP's pointer states.
-func (c *converter) ipState(stage string, i int) string {
-	return PointerState(c.m, c.m.IP, stage, i)
 }
 
 // emitMove implements ⟨move⟩ for instruction i = (x ↦ y).
 func (c *converter) emitMove(b *protocol.Builder, i int, in popmachine.MoveInstr) {
 	m := c.m
 	vx, vy := m.VReg[in.X], m.VReg[in.Y]
-	z := c.regState[0] // the fixed intermediate register of App. B.3
-	for _, stage := range c.stages[vx] {
+	const z = 0 // the fixed intermediate register of App. B.3
+	for _, st := range c.stages[vx] {
 		for _, v := range m.Pointers[vx].Domain {
-			from := PointerState(m, vx, stage, v)
-			b.Transition(c.ipState(stNone, i), from, c.ipState(stWait, i), PointerState(m, vx, stEmit, v))
+			b.TransitionIdx(c.ptr(m.IP, stNone, i), c.ptr(vx, st, v), c.ptr(m.IP, stWait, i), c.ptr(vx, stEmit, v))
 		}
 	}
 	for _, v := range m.Pointers[vx].Domain {
-		emit := PointerState(m, vx, stEmit, v)
-		done := PointerState(m, vx, stDone, v)
-		b.Transition(emit, c.regState[v], done, z)
-		b.Transition(c.ipState(stWait, i), done, c.ipState(stHalf, i), PointerState(m, vx, stNone, v))
+		done := c.ptr(vx, stDone, v)
+		b.TransitionIdx(c.ptr(vx, stEmit, v), v, done, z)
+		b.TransitionIdx(c.ptr(m.IP, stWait, i), done, c.ptr(m.IP, stHalf, i), c.ptr(vx, stNone, v))
 	}
-	for _, stage := range c.stages[vy] {
+	for _, st := range c.stages[vy] {
 		for _, w := range m.Pointers[vy].Domain {
-			from := PointerState(m, vy, stage, w)
-			b.Transition(c.ipState(stHalf, i), from, c.ipState(stWait, i), PointerState(m, vy, stTake, w))
+			b.TransitionIdx(c.ptr(m.IP, stHalf, i), c.ptr(vy, st, w), c.ptr(m.IP, stWait, i), c.ptr(vy, stTake, w))
 		}
 	}
 	for _, w := range m.Pointers[vy].Domain {
-		take := PointerState(m, vy, stTake, w)
-		done := PointerState(m, vy, stDone, w)
-		b.Transition(take, z, done, c.regState[w])
+		done := c.ptr(vy, stDone, w)
+		b.TransitionIdx(c.ptr(vy, stTake, w), z, done, w)
 		if i < m.NumInstrs() {
-			b.Transition(c.ipState(stWait, i), done, c.ipState(stNone, i+1), PointerState(m, vy, stNone, w))
+			b.TransitionIdx(c.ptr(m.IP, stWait, i), done, c.ptr(m.IP, stNone, i+1), c.ptr(vy, stNone, w))
 		}
 	}
 }
@@ -390,35 +387,32 @@ func (c *converter) emitMove(b *protocol.Builder, i int, in popmachine.MoveInstr
 func (c *converter) emitDetect(b *protocol.Builder, i int, in popmachine.DetectInstr) {
 	m := c.m
 	vx := m.VReg[in.X]
-	for _, stage := range c.stages[vx] {
+	for _, st := range c.stages[vx] {
 		for _, v := range m.Pointers[vx].Domain {
-			from := PointerState(m, vx, stage, v)
-			b.Transition(c.ipState(stNone, i), from, c.ipState(stWait, i), PointerState(m, vx, stTest, v))
+			b.TransitionIdx(c.ptr(m.IP, stNone, i), c.ptr(vx, st, v), c.ptr(m.IP, stWait, i), c.ptr(vx, stTest, v))
 		}
 	}
 	for _, v := range m.Pointers[vx].Domain {
-		test := PointerState(m, vx, stTest, v)
-		b.Transition(test, c.regState[v], PointerState(m, vx, stTrue, v), c.regState[v])
-		for _, q := range c.states {
-			if q != c.regState[v] && q != test {
-				b.Transition(test, q, PointerState(m, vx, stFalse, v), q)
+		test, isFalse := c.ptr(vx, stTest, v), c.ptr(vx, stFalse, v)
+		b.TransitionIdx(test, v, c.ptr(vx, stTrue, v), v)
+		for q := range c.states {
+			if q != v && q != test {
+				b.TransitionIdx(test, q, isFalse, q)
 			}
 		}
 		for _, outcome := range []struct {
-			stage string
-			cf    int
+			st stage
+			cf int
 		}{{stTrue, popmachine.ValTrue}, {stFalse, popmachine.ValFalse}} {
-			res := PointerState(m, vx, outcome.stage, v)
+			res := c.ptr(vx, outcome.st, v)
 			for _, cfStage := range c.stages[m.CF] {
 				for _, cv := range m.Pointers[m.CF].Domain {
-					b.Transition(res, PointerState(m, m.CF, cfStage, cv),
-						PointerState(m, vx, stDone, v), PointerState(m, m.CF, stNone, outcome.cf))
+					b.TransitionIdx(res, c.ptr(m.CF, cfStage, cv), c.ptr(vx, stDone, v), c.ptr(m.CF, stNone, outcome.cf))
 				}
 			}
 		}
 		if i < m.NumInstrs() {
-			b.Transition(c.ipState(stWait, i), PointerState(m, vx, stDone, v),
-				c.ipState(stNone, i+1), PointerState(m, vx, stNone, v))
+			b.TransitionIdx(c.ptr(m.IP, stWait, i), c.ptr(vx, stDone, v), c.ptr(m.IP, stNone, i+1), c.ptr(vx, stNone, v))
 		}
 	}
 }
@@ -429,42 +423,37 @@ func (c *converter) emitAssign(b *protocol.Builder, i int, in popmachine.AssignI
 	switch {
 	case in.X == m.IP:
 		// IP := f(Y): a single two-agent exchange.
-		for _, stage := range c.stages[in.Y] {
+		for _, st := range c.stages[in.Y] {
 			for _, v := range m.Pointers[in.Y].Domain {
-				b.Transition(c.ipState(stNone, i), PointerState(m, in.Y, stage, v),
-					c.ipState(stNone, in.F[v]), PointerState(m, in.Y, stNone, v))
+				b.TransitionIdx(c.ptr(m.IP, stNone, i), c.ptr(in.Y, st, v), c.ptr(m.IP, stNone, in.F[v]), c.ptr(in.Y, stNone, v))
 			}
 		}
 	case in.X == in.Y:
 		if i >= m.NumInstrs() {
 			return // machine hangs at i = L
 		}
-		for _, stage := range c.stages[in.Y] {
+		for _, st := range c.stages[in.Y] {
 			for _, v := range m.Pointers[in.Y].Domain {
-				b.Transition(c.ipState(stNone, i), PointerState(m, in.Y, stage, v),
-					c.ipState(stNone, i+1), PointerState(m, in.Y, stNone, in.F[v]))
+				b.TransitionIdx(c.ptr(m.IP, stNone, i), c.ptr(in.Y, st, v), c.ptr(m.IP, stNone, i+1), c.ptr(in.Y, stNone, in.F[v]))
 			}
 		}
 	default:
 		if i >= m.NumInstrs() {
 			return // the advancing transitions below would be ill-defined
 		}
-		mapState := MapState(m, in.X, i)
-		for _, stage := range c.stages[in.X] {
+		mapState := c.mapAt[i]
+		for _, st := range c.stages[in.X] {
 			for _, v := range m.Pointers[in.X].Domain {
-				b.Transition(c.ipState(stNone, i), PointerState(m, in.X, stage, v),
-					c.ipState(stWait, i), mapState)
+				b.TransitionIdx(c.ptr(m.IP, stNone, i), c.ptr(in.X, st, v), c.ptr(m.IP, stWait, i), mapState)
 			}
 		}
-		for _, stage := range c.stages[in.Y] {
+		for _, st := range c.stages[in.Y] {
 			for _, w := range m.Pointers[in.Y].Domain {
-				b.Transition(mapState, PointerState(m, in.Y, stage, w),
-					PointerState(m, in.X, stDone, in.F[w]), PointerState(m, in.Y, stNone, w))
+				b.TransitionIdx(mapState, c.ptr(in.Y, st, w), c.ptr(in.X, stDone, in.F[w]), c.ptr(in.Y, stNone, w))
 			}
 		}
 		for _, v := range m.Pointers[in.X].Domain {
-			b.Transition(c.ipState(stWait, i), PointerState(m, in.X, stDone, v),
-				c.ipState(stNone, i+1), PointerState(m, in.X, stNone, v))
+			b.TransitionIdx(c.ptr(m.IP, stWait, i), c.ptr(in.X, stDone, v), c.ptr(m.IP, stNone, i+1), c.ptr(in.X, stNone, v))
 		}
 	}
 }
@@ -482,50 +471,48 @@ func withOpinion(state string, b bool) string {
 // OF-pointer state with value b force both participants' opinions to b;
 // all other transitions carry opinions through; and meeting the OF agent
 // (an identity interaction otherwise) converts the other agent's opinion.
+// Core state i becomes state 2i+o for opinion o (0 = false, 1 = true).
 func (c *converter) wrapBroadcast(core *protocol.Protocol) (*protocol.Protocol, error) {
 	b := protocol.NewBuilder(core.Name + "-consensus")
-	bools := []bool{false, true}
 	for _, s := range c.states {
-		for _, op := range bools {
-			b.AcceptingIf(withOpinion(s, op), op)
-		}
+		b.AcceptingIf(withOpinion(s, false), false)
+		b.AcceptingIf(withOpinion(s, true), true)
 	}
 	// I' = I × {false}: the initialised first pointer of the elect chain,
 	// with opinion false.
-	b.Input(withOpinion(InitialPointerState(c.m, c.order[0]), false))
+	b.Input(withOpinion(core.States[core.Input[0]], false))
+	numOF := len(c.stages[c.m.OF]) * len(c.m.Pointers[c.m.OF].Domain)
+	b.Grow(4*len(core.Transitions) + 4*numOF*(len(c.states)-1))
 
+	// OF's domain is {ValFalse, ValTrue} = {0, 1} (Validate), so an OF
+	// value is the opinion bit it broadcasts.
 	for _, t := range core.Transitions {
-		q1, r1 := core.States[t.Q], core.States[t.R]
-		q2, r2 := core.States[t.Q2], core.States[t.R2]
-		forced, forcedVal := false, false
-		if c.isOF[q2] {
-			forced, forcedVal = true, c.ofValue[q2] == popmachine.ValTrue
-		} else if c.isOF[r2] {
-			forced, forcedVal = true, c.ofValue[r2] == popmachine.ValTrue
+		forced := c.ofValue[t.Q2]
+		if forced < 0 {
+			forced = c.ofValue[t.R2]
 		}
-		for _, o1 := range bools {
-			for _, o2 := range bools {
-				if forced {
-					b.Transition(withOpinion(q1, o1), withOpinion(r1, o2),
-						withOpinion(q2, forcedVal), withOpinion(r2, forcedVal))
-				} else {
-					b.Transition(withOpinion(q1, o1), withOpinion(r1, o2),
-						withOpinion(q2, o1), withOpinion(r2, o2))
+		for o1 := 0; o1 < 2; o1++ {
+			for o2 := 0; o2 < 2; o2++ {
+				p1, p2 := o1, o2
+				if forced >= 0 {
+					p1, p2 = forced, forced
 				}
+				b.TransitionIdx(2*t.Q+o1, 2*t.R+o2, 2*t.Q2+p1, 2*t.R2+p2)
 			}
 		}
 	}
 	// Identity interactions with the OF agent broadcast its value.
-	for _, ofState := range c.ofStates() {
-		val := c.ofValue[ofState] == popmachine.ValTrue
-		for _, q := range c.states {
-			if q == ofState {
+	for of, val := range c.ofValue {
+		if val < 0 {
+			continue
+		}
+		for q := range c.states {
+			if q == of {
 				continue
 			}
-			for _, o1 := range bools {
-				for _, o2 := range bools {
-					b.Transition(withOpinion(q, o1), withOpinion(ofState, o2),
-						withOpinion(q, val), withOpinion(ofState, val))
+			for o1 := 0; o1 < 2; o1++ {
+				for o2 := 0; o2 < 2; o2++ {
+					b.TransitionIdx(2*q+o1, 2*of+o2, 2*q+val, 2*of+val)
 				}
 			}
 		}

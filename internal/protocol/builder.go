@@ -1,6 +1,9 @@
 package protocol
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Builder constructs protocols incrementally by state name. It is used by
 // the baselines and by the machine→protocol converter, where states are
@@ -47,10 +50,17 @@ func (b *Builder) NumStates() int { return len(b.states) }
 // Transition adds the transition (q, r ↦ q2, r2), creating any states that
 // do not exist yet.
 func (b *Builder) Transition(q, r, q2, r2 string) {
-	b.transitions = append(b.transitions, Transition{
-		Q: b.State(q), R: b.State(r), Q2: b.State(q2), R2: b.State(r2),
-	})
+	b.TransitionIdx(b.State(q), b.State(r), b.State(q2), b.State(r2))
 }
+
+// TransitionIdx adds the transition (q, r ↦ q2, r2) between existing state
+// indices; Build rejects an index out of range.
+func (b *Builder) TransitionIdx(q, r, q2, r2 int) {
+	b.transitions = append(b.transitions, Transition{Q: q, R: r, Q2: q2, R2: r2})
+}
+
+// Grow makes room for n more transitions without reallocating.
+func (b *Builder) Grow(n int) { b.transitions = slices.Grow(b.transitions, n) }
 
 // Input declares the given states (created if needed) as input states, in
 // order. Repeated calls append.
@@ -78,7 +88,8 @@ func (b *Builder) AcceptingIf(name string, cond bool) {
 	}
 }
 
-// Build finalises the protocol and validates it.
+// Build finalises the protocol and validates it. The protocol takes over the
+// builder's transition slice, clipped, so later emits never alter it.
 func (b *Builder) Build() (*Protocol, error) {
 	if b.err != nil {
 		return nil, b.err
@@ -86,7 +97,7 @@ func (b *Builder) Build() (*Protocol, error) {
 	p := &Protocol{
 		Name:        b.name,
 		States:      append([]string(nil), b.states...),
-		Transitions: append([]Transition(nil), b.transitions...),
+		Transitions: slices.Clip(b.transitions),
 		Input:       append([]int(nil), b.input...),
 		Accepting:   make([]bool, len(b.states)),
 	}

@@ -66,11 +66,9 @@ func (p *Protocol) Validate() error {
 		}
 	}
 	for k, t := range p.Transitions {
-		for _, i := range []int{t.Q, t.R, t.Q2, t.R2} {
-			if i < 0 || i >= len(p.States) {
-				return fmt.Errorf("protocol %q: transition %d references state %d out of range",
-					p.Name, k, i)
-			}
+		if min(t.Q, t.R, t.Q2, t.R2) < 0 || max(t.Q, t.R, t.Q2, t.R2) >= len(p.States) {
+			return fmt.Errorf("protocol %q: transition %d (%d,%d -> %d,%d) references a state out of range [0,%d)",
+				p.Name, k, t.Q, t.R, t.Q2, t.R2, len(p.States))
 		}
 	}
 	return nil

@@ -43,6 +43,10 @@ func TestValidateRejectsBadProtocols(t *testing.T) {
 			Name: "p", States: []string{"a"}, Input: []int{0}, Accepting: []bool{false},
 			Transitions: []Transition{{Q: 0, R: 5, Q2: 0, R2: 0}},
 		}},
+		{"transition negative index", Protocol{
+			Name: "p", States: []string{"a"}, Input: []int{0}, Accepting: []bool{false},
+			Transitions: []Transition{{Q: 0, R: 0, Q2: -1, R2: 0}},
+		}},
 		{"duplicate names", Protocol{
 			Name: "p", States: []string{"a", "a"}, Input: []int{0},
 			Accepting: []bool{false, false},
@@ -259,6 +263,40 @@ func TestBuilderIdempotentStates(t *testing.T) {
 	}
 	if !b.HasState("s") || b.HasState("t") {
 		t.Fatal("HasState mismatch")
+	}
+}
+
+// TestBuilderUseAfterBuild pins the transition hand-over: Build gives the
+// protocol the builder's transition slice, so a builder that keeps emitting
+// afterwards (by name or by index, with or without spare capacity) must not
+// alter the protocol it already returned.
+func TestBuilderUseAfterBuild(t *testing.T) {
+	b := NewBuilder("reuse")
+	b.Input("a")
+	b.Grow(8)
+	b.Transition("a", "a", "b", "b")
+	p, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := p.Fingerprint()
+	b.Transition("b", "b", "c", "c")
+	b.TransitionIdx(0, 1, 1, 0)
+	b.Accepting("c")
+	b.Input("b")
+	if got := p.Fingerprint(); got != want {
+		t.Fatal("emitting after Build changed the returned protocol")
+	}
+	if len(p.Transitions) != 1 || cap(p.Transitions) != 1 || len(p.States) != 2 {
+		t.Fatalf("returned protocol has %d transitions (cap %d) and %d states, want 1 (cap 1) and 2",
+			len(p.Transitions), cap(p.Transitions), len(p.States))
+	}
+	q, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(q.Transitions) != 3 || q.Transitions[0] != p.Transitions[0] {
+		t.Fatalf("second Build has transitions %v, want the first protocol's plus two", q.Transitions)
 	}
 }
 
